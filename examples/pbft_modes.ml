@@ -32,7 +32,7 @@ let run participation label =
     List.init 5 (fun i -> Pcluster.submit c ~resubmit_every:(ms 150) (Printf.sprintf "w%d" i))
   in
   Pcluster.run ~until:(ms 6000) c;
-  let committed = List.length (List.filter (Pcluster.is_globally_committed c) warmup) in
+  let committed = List.length (List.filter (Pcluster.is_committed c) warmup) in
   let phase1 = Pcluster.message_count c in
   (* Phase 2 — steady state: 20 requests after stabilization. This is where
      running only the active quorum pays off, forever. *)
@@ -41,14 +41,14 @@ let run participation label =
     List.init 20 (fun i -> Pcluster.submit c ~resubmit_every:(ms 150) (Printf.sprintf "s%d" i))
   in
   Pcluster.run ~until:(ms 12000) c;
-  let committed2 = List.length (List.filter (Pcluster.is_globally_committed c) steady) in
+  let committed2 = List.length (List.filter (Pcluster.is_committed c) steady) in
   let phase2 = Pcluster.message_count c in
   Printf.printf
     "%-36s fault phase: %d/5 committed, %4d msgs, %d view change(s)\n\
      %-36s steady state: %d/20 committed, %4d msgs (%2d per request), active=%s\n"
     label committed phase1 (Pcluster.max_view c) "" committed2 phase2 (phase2 / 20)
     (String.concat ","
-       (List.map (fun p -> string_of_int (p + 1)) (Preplica.participants (Pcluster.replica c 0))))
+       (List.map (fun p -> string_of_int (p + 1)) (Preplica.participants (Pcluster.node c 0))))
 
 let () =
   print_endline "n = 7 replicas, f = 2, replica p3 is mute from the start.\n";

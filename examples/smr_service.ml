@@ -59,19 +59,19 @@ let () =
   (* Rebuild stores from executed prefixes. *)
   Array.iteri
     (fun i store ->
-      List.iter (fun r -> apply store r.Xmsg.op) (Replica.executed (Xcluster.replica cluster i)))
+      List.iter (fun r -> apply store r.Xmsg.op) (Replica.executed (Xcluster.node cluster i)))
     stores;
 
   List.iter
     (fun p ->
-      let r = Xcluster.replica cluster p in
+      let r = Xcluster.node cluster p in
       Printf.printf "replica p%d: view=%d group=%s executed=%d ops\n" (p + 1) (Replica.view r)
         (Qs_core.Pid.set_to_string (Replica.group r))
         (List.length (Replica.executed r)))
     [ 1; 2; 3; 4 ];
 
   print_newline ();
-  let committed = List.filter (Xcluster.is_globally_committed cluster) !requests in
+  let committed = List.filter (Xcluster.is_committed cluster) !requests in
   Printf.printf "committed %d/%d client requests\n" (List.length committed)
     (List.length !requests);
 
@@ -87,7 +87,7 @@ let () =
   List.iter (fun (k, v) -> Printf.printf "  %s = %s\n" k v) reference;
 
   (* What quorum selection learned about p1: *)
-  match Replica.quorum_selector (Xcluster.replica cluster 1) with
+  match Replica.quorum_selector (Xcluster.node cluster 1) with
   | Some qs ->
     Printf.printf "\nquorum selection at p2: quorum=%s (p1 excluded: %b)\n"
       (Qs_core.Pid.set_to_string (Qs_core.Quorum_select.last_quorum qs))

@@ -952,7 +952,7 @@ let make_xpaxos mode spec =
        request arrival into a Step choice. The mc client hands requests to
        every replica in the initial state instead. *)
     List.iter
-      (fun r -> List.iter (fun p -> Replica.submit (Xcluster.replica c p) r) (List.init spec.n Fun.id))
+      (fun r -> List.iter (fun p -> Replica.submit (Xcluster.node c p) r) (List.init spec.n Fun.id))
       requests
   in
   let histories () =
@@ -961,7 +961,7 @@ let make_xpaxos mode spec =
         ( p,
           List.map
             (fun (r : Qs_xpaxos.Xmsg.request) -> (r.client, r.rid))
-            (Replica.executed (Xcluster.replica (cluster ()) p)) ))
+            (Replica.executed (Xcluster.node (cluster ()) p)) ))
       correct
   in
   let rec is_prefix a b =
@@ -1006,7 +1006,7 @@ let make_xpaxos mode spec =
   let qsel_violations () =
     List.concat_map
       (fun p ->
-        match Replica.quorum_selector (Xcluster.replica (cluster ()) p) with
+        match Replica.quorum_selector (Xcluster.node (cluster ()) p) with
         | None -> []
         | Some qsel ->
           let lq = QS.last_quorum qsel in
@@ -1053,7 +1053,7 @@ let make_xpaxos mode spec =
         let c = cluster () in
         let buf = Buffer.create 512 in
         for p = 0 to spec.n - 1 do
-          Buffer.add_string buf (Replica.fingerprint (Xcluster.replica c p));
+          Buffer.add_string buf (Replica.fingerprint (Xcluster.node c p));
           Buffer.add_char buf '\n'
         done;
         Buffer.add_string buf ("[" ^ pending_part (Xcluster.net c) encode ^ "]");
@@ -1067,7 +1067,7 @@ let make_xpaxos mode spec =
       (fun () ->
         List.iter
           (fun p ->
-            let d = Replica.detector (Xcluster.replica (cluster ()) p) in
+            let d = Replica.detector (Xcluster.node (cluster ()) p) in
             List.iter
               (fun s -> if not (List.mem s !blamed) then blamed := s :: !blamed)
               (Qs_fd.Detector.suspected d))

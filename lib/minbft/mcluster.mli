@@ -1,29 +1,10 @@
-(** A MinBFT cluster in the simulator. *)
+(** A MinBFT cluster in the simulator: the generic {!Qs_core.Smr_cluster}
+    over {!Mreplica}, with one USIG per replica. A request is committed once
+    [f+1] replicas executed it (the n − f = f + 1 commit rule). *)
 
-type t
-
-val create :
-  ?seed:int64 -> ?delay:Qs_sim.Network.delay_model -> Mreplica.config -> t
-
-val sim : t -> Qs_sim.Sim.t
-
-val net : t -> Mmsg.t Qs_sim.Network.t
-
-val replica : t -> Qs_core.Pid.t -> Mreplica.t
-
-val set_fault : t -> Qs_core.Pid.t -> Mreplica.fault -> unit
-
-val submit :
-  t -> ?client:int -> ?resubmit_every:Qs_sim.Stime.t -> string -> Mmsg.request
-
-val run : ?until:Qs_sim.Stime.t -> ?max_events:int -> t -> unit
-
-val executed_by : t -> Mmsg.request -> Qs_core.Pid.t list
-
-val is_committed : t -> Mmsg.request -> bool
-(** Executed by at least [f+1] replicas (the n−f = f+1 commit rule). *)
-
-val message_count : t -> int
-
-val commit_latency : t -> Mmsg.request -> Qs_sim.Stime.t option
-(** Time from submission until [f+1] replicas executed the request. *)
+include
+  Qs_core.Smr_cluster.S
+    with type config = Mreplica.config
+     and type node = Mreplica.t
+     and type msg = Mmsg.t
+     and type fault = Mreplica.fault

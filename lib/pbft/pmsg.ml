@@ -1,10 +1,8 @@
 module Auth = Qs_crypto.Auth
 
-type request = { client : int; rid : int; op : string }
+type request = Qs_core.Request.t = { client : int; rid : int; op : string }
 
-let encode_request r = Printf.sprintf "REQ|%d|%d|%s" r.client r.rid r.op
-
-let digest r = Qs_crypto.Sha256.digest_string (encode_request r)
+let digest r = Qs_crypto.Sha256.digest_string (Qs_core.Request.encode r)
 
 type pre_prepare = { view : int; slot : int; request : request }
 
@@ -31,7 +29,7 @@ type t = { sender : Qs_core.Pid.t; body : body; signature : Auth.signature }
 let hex = Qs_crypto.Sha256.hex
 
 let encode_pre_prepare pp =
-  Printf.sprintf "PP|%d|%d|%s" pp.view pp.slot (encode_request pp.request)
+  Printf.sprintf "PP|%d|%d|%s" pp.view pp.slot (Qs_core.Request.encode pp.request)
 
 let sign_pre_prepare auth ~primary pp =
   { pp; ppsig = Auth.sign auth ~signer:primary (encode_pre_prepare pp) }
@@ -42,7 +40,7 @@ let verify_pre_prepare auth ~primary spp =
   && Auth.verify auth ~signer:primary (encode_pre_prepare spp.pp) spp.ppsig
 
 let encode_entry e =
-  Printf.sprintf "E|%d|%d|%s|%b|%s" e.eview e.eslot (encode_request e.erequest)
+  Printf.sprintf "E|%d|%d|%s|%b|%s" e.eview e.eslot (Qs_core.Request.encode e.erequest)
     e.ecommitted (hex e.epsig)
 
 let encode_body = function

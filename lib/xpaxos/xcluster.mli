@@ -1,30 +1,16 @@
-(** An XPaxos cluster in the discrete-event simulator.
+(** An XPaxos cluster in the discrete-event simulator: the generic
+    {!Qs_core.Smr_cluster} over {!Replica}, plus per-link fault injection on
+    top of replica-level faults and per-replica durability. XPaxos assumes
+    point-to-point FIFO channels, which the generic cluster provides. *)
 
-    Wires [n] replicas over an eventually-synchronous {!Qs_sim.Network},
-    plays a simulated client (requests are handed to every replica, as an
-    XPaxos client broadcasts after a timeout), and offers per-link fault
-    injection on top of replica-level faults. *)
-
-type t
-
-val create :
-  ?seed:int64 ->
-  ?delay:Qs_sim.Network.delay_model ->
-  ?fifo:bool ->
-  Replica.config ->
-  t
-(** Default delay: [Fixed 1ms]. Default [fifo] true (XPaxos assumes
-    point-to-point FIFO channels in practice). *)
-
-val sim : t -> Qs_sim.Sim.t
-
-val net : t -> Xmsg.t Qs_sim.Network.t
-
-val replica : t -> Qs_core.Pid.t -> Replica.t
-
-val config : t -> Replica.config
-
-val set_fault : t -> Qs_core.Pid.t -> Replica.fault -> unit
+include
+  Qs_core.Smr_cluster.S
+    with type config = Replica.config
+     and type node = Replica.t
+     and type msg = Xmsg.t
+     and type fault = Replica.fault
+(** {!is_committed} and {!commit_latency} count [n − f] executions (the XFT
+    commit condition). *)
 
 val omit_link : t -> src:Qs_core.Pid.t -> dst:Qs_core.Pid.t -> unit
 (** Drop every message on one direction of a link (an omission failure the
@@ -35,35 +21,7 @@ val delay_link : t -> src:Qs_core.Pid.t -> dst:Qs_core.Pid.t -> by:Qs_sim.Stime.
 
 val heal_link : t -> src:Qs_core.Pid.t -> dst:Qs_core.Pid.t -> unit
 
-val heal_all : t -> unit
-
-val submit : t -> ?client:int -> ?resubmit_every:Qs_sim.Stime.t -> string -> Xmsg.request
-(** Schedule a client request (handed to every replica at the current
-    simulation time; redelivered every [resubmit_every] until [n − f]
-    replicas executed it, when given). Returns the request for querying. *)
-
-val run : ?until:Qs_sim.Stime.t -> ?max_events:int -> t -> unit
-
-val executed_by : t -> Xmsg.request -> Qs_core.Pid.t list
-(** Replicas that executed the request. *)
-
-val is_globally_committed : t -> Xmsg.request -> bool
-(** Executed by at least [n − f] replicas (the XFT commit condition). *)
-
-val consistent : t -> correct:Qs_core.Pid.t list -> bool
-(** Pairwise prefix-consistency of the given replicas' executed histories:
-    the safety invariant of state machine replication. *)
-
-val total_view_changes : t -> int
-(** Sum over replicas — the E5 metric is usually [max_view] instead. *)
-
 val max_view : t -> int
-
-val message_count : t -> int
-(** Inter-replica messages sent (excludes self-deliveries). *)
-
-val commit_latency : t -> Xmsg.request -> Qs_sim.Stime.t option
-(** Time from submission until [n − f] replicas executed the request. *)
 
 (** {2 Durability and amnesia crashes}
 
@@ -80,9 +38,6 @@ val attach_durability : ?fsync_every:int -> t -> unit
 (** Create one store per replica (see {!Qs_recovery.Store.create} for
     [fsync_every]) and persist-and-fsync the current state as the baseline
     snapshot. Idempotent. *)
-
-val store : t -> Qs_core.Pid.t -> Qs_recovery.Store.t
-(** [Invalid_argument] unless {!attach_durability} was called. *)
 
 val collect_payload : t -> Qs_core.Pid.t -> Qs_recovery.Rejoin.payload
 (** This replica's state as a rejoin payload: encoded matrix and epoch

@@ -129,7 +129,7 @@ let test_full_ordering_consistent () =
   let _ = Mcluster.submit c "a" in
   let _ = Mcluster.submit c "b" in
   Mcluster.run c;
-  let log p = List.map (fun r -> r.Mmsg.op) (Mreplica.executed (Mcluster.replica c p)) in
+  let log p = List.map (fun r -> r.Mmsg.op) (Mreplica.executed (Mcluster.node c p)) in
   List.iter (fun p -> Alcotest.(check (list string)) "same log" (log 0) (log p)) [ 1; 2; 3; 4 ]
 
 (* ------------------------------------------------------------------ *)
@@ -169,9 +169,9 @@ let test_selected_reacts_to_mute_backup () =
   Mcluster.run ~until:(ms 6000) c;
   check_bool "committed on a new active set" true (Mcluster.is_committed c r);
   check_bool "mute backup excluded" false
-    (List.mem 1 (Mreplica.active (Mcluster.replica c 0)));
+    (List.mem 1 (Mreplica.active (Mcluster.node c 0)));
   check_bool "configuration epoch advanced" true
-    (Mreplica.config_epoch (Mcluster.replica c 0) >= 1)
+    (Mreplica.config_epoch (Mcluster.node c 0) >= 1)
 
 let test_selected_mute_primary_replaced () =
   let c = Mcluster.create (config ~participation:Mreplica.Selected ~f:2 ~timeout:(ms 20) ()) in
@@ -179,7 +179,7 @@ let test_selected_mute_primary_replaced () =
   let r = Mcluster.submit c ~resubmit_every:(ms 100) "primary" in
   Mcluster.run ~until:(ms 6000) c;
   check_bool "committed" true (Mcluster.is_committed c r);
-  check_bool "primary changed" true (Mreplica.primary (Mcluster.replica c 1) <> 0)
+  check_bool "primary changed" true (Mreplica.primary (Mcluster.node c 1) <> 0)
 
 let test_gap_detection_on_omitted_prepare () =
   (* The primary omits one PREPARE to one backup; the next PREPARE arrives
@@ -193,7 +193,7 @@ let test_gap_detection_on_omitted_prepare () =
   let _ = Mcluster.submit c "second" in
   Mcluster.run ~until:(ms 10) c;
   check_bool "backup registered a counter gap" true
-    (Mreplica.usig_gaps (Mcluster.replica c 1) > 0)
+    (Mreplica.usig_gaps (Mcluster.node c 1) > 0)
 
 let test_config_validation () =
   Alcotest.check_raises "n must be 2f+1" (Invalid_argument "Mreplica.create: need n = 2f+1")

@@ -362,17 +362,17 @@ let test_xpaxos_amnesia_restores_durable_log () =
   Xcluster.attach_durability c;
   let r1 = Xcluster.submit c "a" in
   Xcluster.run ~until:(ms 400) c;
-  check_bool "request committed before the crash" true (Xcluster.is_globally_committed c r1);
+  check_bool "request committed before the crash" true (Xcluster.is_committed c r1);
   (* Only the synchronous group executes in XPaxos — crash one of its
      members, where there is actually durable state to restore. *)
   let victim = List.hd (List.rev (Xcluster.executed_by c r1)) in
-  let executed_before = List.length (Replica.executed (Xcluster.replica c victim)) in
+  let executed_before = List.length (Replica.executed (Xcluster.node c victim)) in
   check_bool "victim executed it" true (executed_before >= 1);
   let payload = Xcluster.amnesia c victim in
   (* The committed prefix was fsynced at execute, so the wipe-and-reimport
      lands back on the same history — nothing durable was lost. *)
   check_int "durable log re-imported" executed_before
-    (List.length (Replica.executed (Xcluster.replica c victim)));
+    (List.length (Replica.executed (Xcluster.node c victim)));
   check_bool "durable selection state returned" true (payload.Rejoin.epoch >= 1);
   (* CRDT join with a peer's payload (what the rejoin engine does on each
      StateResp), then keep running: the cluster must still make progress
@@ -383,7 +383,7 @@ let test_xpaxos_amnesia_restores_durable_log () =
     ~epoch:peer.Rejoin.epoch ~extra:peer.Rejoin.extra;
   let r2 = Xcluster.submit c "b" in
   Xcluster.run ~until:(ms 1200) c;
-  check_bool "post-recovery request commits" true (Xcluster.is_globally_committed c r2);
+  check_bool "post-recovery request commits" true (Xcluster.is_committed c r2);
   check_bool "histories prefix-consistent across the recovery" true
     (Xcluster.consistent c ~correct:[ 0; 1; 2 ])
 
@@ -391,11 +391,11 @@ let test_xpaxos_amnesia_without_durability_is_total () =
   let c = Xcluster.create xpaxos_cfg in
   let r1 = Xcluster.submit c "a" in
   Xcluster.run ~until:(ms 400) c;
-  check_bool "committed" true (Xcluster.is_globally_committed c r1);
+  check_bool "committed" true (Xcluster.is_committed c r1);
   let victim = List.hd (Xcluster.executed_by c r1) in
   let payload = Xcluster.amnesia c victim in
   check_int "no store: everything volatile is gone" 0
-    (List.length (Replica.executed (Xcluster.replica c victim)));
+    (List.length (Replica.executed (Xcluster.node c victim)));
   check_int "trivial payload" 1 payload.Rejoin.epoch
 
 (* ------------------------------------------------------------------ *)

@@ -116,7 +116,7 @@ let test_normal_case_commits () =
   let c = Xcluster.create (base_config ()) in
   let r = Xcluster.submit c "write:a" in
   Xcluster.run c;
-  check_bool "globally committed" true (Xcluster.is_globally_committed c r);
+  check_bool "globally committed" true (Xcluster.is_committed c r);
   check_ilist "executed by the group" [ 0; 1; 2 ] (Xcluster.executed_by c r);
   check_bool "consistent" true (Xcluster.consistent c ~correct:[ 0; 1; 2; 3; 4 ]);
   check_int "no view changes" 0 (Xcluster.max_view c)
@@ -128,9 +128,9 @@ let test_normal_case_ordering () =
   let r3 = Xcluster.submit c "c" in
   Xcluster.run c;
   List.iter
-    (fun r -> check_bool "committed" true (Xcluster.is_globally_committed c r))
+    (fun r -> check_bool "committed" true (Xcluster.is_committed c r))
     [ r1; r2; r3 ];
-  let history = Replica.executed (Xcluster.replica c 1) in
+  let history = Replica.executed (Xcluster.node c 1) in
   Alcotest.(check (list string)) "in submission order" [ "a"; "b"; "c" ]
     (List.map (fun r -> r.Xmsg.op) history)
 
@@ -152,7 +152,7 @@ let test_no_false_suspicions_in_happy_path () =
     check_ilist
       (Printf.sprintf "replica %d suspects nobody" p)
       []
-      (Detector.suspected (Replica.detector (Xcluster.replica c p)))
+      (Detector.suspected (Replica.detector (Xcluster.node c p)))
   done
 
 let test_fig3_commit_before_prepare () =
@@ -162,10 +162,10 @@ let test_fig3_commit_before_prepare () =
   Xcluster.delay_link c ~src:0 ~dst:2 ~by:(ms 20);
   let r = Xcluster.submit c "delayed" in
   Xcluster.run c;
-  check_bool "committed despite delay" true (Xcluster.is_globally_committed c r);
+  check_bool "committed despite delay" true (Xcluster.is_committed c r);
   check_bool "p3 executed" true (List.mem 2 (Xcluster.executed_by c r));
   (* Nobody was detected: the delay is within the (long) timeout. *)
-  check_ilist "no detections" [] (Replica.detections (Xcluster.replica c 2))
+  check_ilist "no detections" [] (Replica.detections (Xcluster.node c 2))
 
 let test_leader_omission_on_one_link_suspected () =
   (* The leader omits everything to p3 only (an omission failure on an
@@ -185,14 +185,14 @@ let test_leader_omission_on_one_link_suspected () =
   (* After the timeout: p3 suspected the leader, views moved on, and the
      request is committed by a full quorum. *)
   check_bool "view advanced" true (Xcluster.max_view c > 0);
-  check_bool "eventually globally committed" true (Xcluster.is_globally_committed c r)
+  check_bool "eventually globally committed" true (Xcluster.is_committed c r)
 
 let test_mute_leader_replaced_enumeration () =
   let c = Xcluster.create (base_config ~timeout:(ms 20) ()) in
   Xcluster.set_fault c 0 Replica.Mute;
   let r = Xcluster.submit c ~resubmit_every:(ms 100) "survive" in
   Xcluster.run ~until:(ms 3000) c;
-  check_bool "committed despite mute leader" true (Xcluster.is_globally_committed c r);
+  check_bool "committed despite mute leader" true (Xcluster.is_committed c r);
   check_bool "view advanced past leader 0" true (Xcluster.max_view c > 0);
   check_bool "consistency" true (Xcluster.consistent c ~correct:[ 1; 2; 3; 4 ])
 
@@ -201,10 +201,10 @@ let test_mute_leader_replaced_quorum_selection () =
   Xcluster.set_fault c 0 Replica.Mute;
   let r = Xcluster.submit c ~resubmit_every:(ms 100) "survive-qs" in
   Xcluster.run ~until:(ms 3000) c;
-  check_bool "committed despite mute leader" true (Xcluster.is_globally_committed c r);
+  check_bool "committed despite mute leader" true (Xcluster.is_committed c r);
   check_bool "consistency" true (Xcluster.consistent c ~correct:[ 1; 2; 3; 4 ]);
   (* The quorum selector at a correct replica excludes the mute leader. *)
-  (match Replica.quorum_selector (Xcluster.replica c 1) with
+  (match Replica.quorum_selector (Xcluster.node c 1) with
    | Some qs ->
      check_bool "final quorum excludes p1" false
        (List.mem 0 (Qs_core.Quorum_select.last_quorum qs))
@@ -217,28 +217,28 @@ let test_equivocating_leader_detected () =
   Xcluster.run ~until:(ms 3000) c;
   (* Some correct replica detected the leader's equivocation. *)
   let detected_by_someone =
-    List.exists (fun p -> List.mem 0 (Replica.detections (Xcluster.replica c p))) [ 1; 2; 3; 4 ]
+    List.exists (fun p -> List.mem 0 (Replica.detections (Xcluster.node c p))) [ 1; 2; 3; 4 ]
   in
   check_bool "equivocation detected" true detected_by_someone;
   check_bool "view advanced" true (Xcluster.max_view c > 0);
   check_bool "safety held" true (Xcluster.consistent c ~correct:[ 1; 2; 3; 4 ]);
-  check_bool "request still committed" true (Xcluster.is_globally_committed c r)
+  check_bool "request still committed" true (Xcluster.is_committed c r)
 
 let test_committed_state_survives_view_change () =
   let c = Xcluster.create (base_config ~timeout:(ms 20) ()) in
   let r1 = Xcluster.submit c "before" in
   Xcluster.run c;
-  check_bool "first committed" true (Xcluster.is_globally_committed c r1);
+  check_bool "first committed" true (Xcluster.is_committed c r1);
   (* Now the leader goes mute; a later request must land after r1. *)
   Xcluster.set_fault c 0 Replica.Mute;
   let r2 = Xcluster.submit c ~resubmit_every:(ms 100) "after" in
   Xcluster.run ~until:(ms 3000) c;
-  check_bool "second committed" true (Xcluster.is_globally_committed c r2);
+  check_bool "second committed" true (Xcluster.is_committed c r2);
   check_bool "consistent" true (Xcluster.consistent c ~correct:[ 1; 2; 3; 4 ]);
   (* Every correct replica that executed r2 executed r1 first. *)
   List.iter
     (fun p ->
-      let history = List.map (fun r -> r.Xmsg.op) (Replica.executed (Xcluster.replica c p)) in
+      let history = List.map (fun r -> r.Xmsg.op) (Replica.executed (Xcluster.node c p)) in
       if List.mem "after" history then
         check_bool "order preserved" true (List.hd history = "before"))
     [ 1; 2; 3; 4 ]
@@ -248,7 +248,7 @@ let test_xft_minimal_n3 () =
   let c = Xcluster.create (base_config ~n:3 ~f:1 ~timeout:(ms 20) ()) in
   let r = Xcluster.submit c "xft" in
   Xcluster.run c;
-  check_bool "commits with 2f+1 replicas" true (Xcluster.is_globally_committed c r);
+  check_bool "commits with 2f+1 replicas" true (Xcluster.is_committed c r);
   check_ilist "group of f+1 executed" [ 0; 1 ] (Xcluster.executed_by c r)
 
 let test_mute_follower_view_changes () =
@@ -258,9 +258,9 @@ let test_mute_follower_view_changes () =
   Xcluster.set_fault c 1 Replica.Mute;
   let r = Xcluster.submit c ~resubmit_every:(ms 100) "follower-mute" in
   Xcluster.run ~until:(ms 3000) c;
-  check_bool "committed" true (Xcluster.is_globally_committed c r);
+  check_bool "committed" true (Xcluster.is_committed c r);
   check_bool "moved to a group without p2" false
-    (List.mem 1 (Replica.group (Xcluster.replica c 0)))
+    (List.mem 1 (Replica.group (Xcluster.node c 0)))
 
 let test_enumeration_all_groups_distinct () =
   let total = Enumeration.count ~n:5 ~q:3 in
@@ -273,10 +273,10 @@ let test_duplicate_submission_dedupe () =
      slot. *)
   let c = Xcluster.create (base_config ()) in
   let request = { Xmsg.client = 5; rid = 42; op = "once" } in
-  Replica.submit (Xcluster.replica c 0) request;
-  Replica.submit (Xcluster.replica c 0) request;
+  Replica.submit (Xcluster.node c 0) request;
+  Replica.submit (Xcluster.node c 0) request;
   Xcluster.run c;
-  let history = Replica.executed (Xcluster.replica c 1) in
+  let history = Replica.executed (Xcluster.node c 1) in
   check_int "one execution" 1 (List.length history)
 
 let test_passive_replicas_execute_nothing () =
@@ -285,7 +285,7 @@ let test_passive_replicas_execute_nothing () =
   Xcluster.run c;
   check_bool "outsiders did not execute" true
     ((not (List.mem 3 (Xcluster.executed_by c r))) && not (List.mem 4 (Xcluster.executed_by c r)));
-  check_int "outsider log empty" 0 (List.length (Replica.executed (Xcluster.replica c 4)))
+  check_int "outsider log empty" 0 (List.length (Replica.executed (Xcluster.node c 4)))
 
 let test_qs_mode_link_omission_recovers () =
   (* Not a mute replica — a single bad link. Quorum selection separates the
@@ -295,8 +295,8 @@ let test_qs_mode_link_omission_recovers () =
   Xcluster.omit_link c ~src:1 ~dst:0;
   let r = Xcluster.submit c ~resubmit_every:(ms 100) "bad-link" in
   Xcluster.run ~until:(ms 4000) c;
-  check_bool "committed" true (Xcluster.is_globally_committed c r);
-  (match Replica.quorum_selector (Xcluster.replica c 2) with
+  check_bool "committed" true (Xcluster.is_committed c r);
+  (match Replica.quorum_selector (Xcluster.node c 2) with
    | Some qs ->
      let quorum = Qs_core.Quorum_select.last_quorum qs in
      check_bool "pair separated" false (List.mem 0 quorum && List.mem 1 quorum)
@@ -312,8 +312,8 @@ let test_view_change_expectations_drive_progress () =
   (* f=2 mute replicas: several candidate groups contain one of them. *)
   let r = Xcluster.submit c ~resubmit_every:(ms 100) "push-through" in
   Xcluster.run ~until:(ms 8000) c;
-  check_bool "committed despite two mutes" true (Xcluster.is_globally_committed c r);
-  let grp = Replica.group (Xcluster.replica c 0) in
+  check_bool "committed despite two mutes" true (Xcluster.is_committed c r);
+  let grp = Replica.group (Xcluster.node c 0) in
   check_bool "final group avoids both mutes" true
     ((not (List.mem 1 grp)) && not (List.mem 3 grp))
 
