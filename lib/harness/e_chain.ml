@@ -14,66 +14,32 @@ let chain_config ~n ~f ~timeout =
     timeout_strategy = Timeout.Exponential { factor = 2.0; max = ms 2000 };
   }
 
+(* Happy runs over 1ms links: messages per request, and one request's
+   commit latency (hop counts, measured). *)
 let chain_messages_per_request ~n ~f =
-  let c = Chain_cluster.create (chain_config ~n ~f ~timeout:(ms 1000)) in
-  let requests = List.init 5 (fun i -> Chain_cluster.submit c (Printf.sprintf "op%d" i)) in
-  Chain_cluster.run c;
-  if not (List.for_all (Chain_cluster.is_committed c) requests) then
-    invalid_arg "chain happy run failed";
-  Chain_cluster.message_count c / List.length requests
+  Stacks.messages_per_request (module Chain_cluster) (chain_config ~n ~f ~timeout:(ms 1000))
 
-(* Commit latency of one request over 1ms links: hop counts, measured. *)
 let chain_latency ~n ~f =
-  let c = Chain_cluster.create (chain_config ~n ~f ~timeout:(ms 1000)) in
-  let r = Chain_cluster.submit c "lat" in
-  Chain_cluster.run c;
-  Option.get (Chain_cluster.commit_latency c r)
+  Stacks.one_commit_latency (module Chain_cluster) (chain_config ~n ~f ~timeout:(ms 1000))
 
 let star_latency ~n ~f =
-  let c =
-    Qs_star.Star_cluster.create
-      {
-        Qs_star.Star_node.n;
-        f;
-        initial_timeout = ms 1000;
-        timeout_strategy = Timeout.Fixed;
-      }
-  in
-  let r = Qs_star.Star_cluster.submit c "lat" in
-  Qs_star.Star_cluster.run c;
-  Option.get (Qs_star.Star_cluster.commit_latency c r)
+  Stacks.one_commit_latency (module Qs_star.Star_cluster)
+    { Qs_star.Star_node.n; f; initial_timeout = ms 1000; timeout_strategy = Timeout.Fixed }
+
+let xpaxos_config ~n ~f =
+  {
+    Qs_xpaxos.Replica.n;
+    f;
+    mode = Qs_xpaxos.Replica.Enumeration;
+    initial_timeout = ms 1000;
+    timeout_strategy = Timeout.Fixed;
+  }
 
 let xpaxos_latency ~n ~f =
-  let c =
-    Qs_xpaxos.Xcluster.create
-      {
-        Qs_xpaxos.Replica.n;
-        f;
-        mode = Qs_xpaxos.Replica.Enumeration;
-        initial_timeout = ms 1000;
-        timeout_strategy = Timeout.Fixed;
-      }
-  in
-  let r = Qs_xpaxos.Xcluster.submit c "lat" in
-  Qs_xpaxos.Xcluster.run c;
-  Option.get (Qs_xpaxos.Xcluster.commit_latency c r)
+  Stacks.one_commit_latency (module Qs_xpaxos.Xcluster) (xpaxos_config ~n ~f)
 
 let xpaxos_messages_per_request ~n ~f =
-  let config =
-    {
-      Qs_xpaxos.Replica.n;
-      f;
-      mode = Qs_xpaxos.Replica.Enumeration;
-      initial_timeout = ms 1000;
-      timeout_strategy = Timeout.Fixed;
-    }
-  in
-  let c = Qs_xpaxos.Xcluster.create config in
-  let requests =
-    List.init 5 (fun i -> Qs_xpaxos.Xcluster.submit c (Printf.sprintf "op%d" i))
-  in
-  Qs_xpaxos.Xcluster.run c;
-  Qs_xpaxos.Xcluster.message_count c / List.length requests
+  Stacks.messages_per_request (module Qs_xpaxos.Xcluster) (xpaxos_config ~n ~f)
 
 let run () =
   let t =
