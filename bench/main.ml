@@ -67,6 +67,15 @@ let bench_sha256 =
   Test.make ~name:"crypto/sha256 1KiB"
     (Staged.stage (fun () -> ignore (Qs_crypto.Sha256.digest_string payload)))
 
+(* One signature check of a 200-byte payload, the size of an XPaxos PREPARE:
+   the operation each replica repeats about 17 times per commit. *)
+let bench_auth_verify =
+  let auth = Qs_crypto.Auth.create 4 in
+  let payload = String.make 200 'x' in
+  let tag = Qs_crypto.Auth.sign auth ~signer:1 payload in
+  Test.make ~name:"crypto/auth-verify 200B"
+    (Staged.stage (fun () -> ignore (Qs_crypto.Auth.verify auth ~signer:1 payload tag)))
+
 let bench_theorem4_greedy =
   Test.make ~name:"adversary/theorem4-greedy f=4"
     (Staged.stage (fun () ->
@@ -119,6 +128,7 @@ let micro_group =
       bench_line_subgraph;
       bench_matrix_merge;
       bench_sha256;
+      bench_auth_verify;
       bench_theorem4_greedy;
       bench_quorum_round;
       bench_xpaxos_commit;

@@ -1,12 +1,15 @@
 type signature = string
 
-type t = { keys : string array }
-
-let derive master i = Hmac.mac ~key:master (Printf.sprintf "process-key:%d" i)
+(* One prepared HMAC key per process: [sign] and [verify] start from its
+   cached midstates. Prepared keys are read-only, so a directory may be
+   shared across domains. *)
+type t = { keys : Hmac.key array }
 
 let create ?(master = "qsel-reproduction-master-secret") n =
   if n <= 0 then invalid_arg "Auth.create: need at least one process";
-  { keys = Array.init n (derive master) }
+  let master = Hmac.prepare master in
+  let derive i = Hmac.prepare (Hmac.mac_prepared master (Printf.sprintf "process-key:%d" i)) in
+  { keys = Array.init n derive }
 
 let universe t = Array.length t.keys
 
@@ -14,9 +17,9 @@ let key t i =
   if i < 0 || i >= Array.length t.keys then invalid_arg "Auth: unknown process";
   t.keys.(i)
 
-let sign t ~signer payload = Hmac.mac ~key:(key t signer) payload
+let sign t ~signer payload = Hmac.mac_prepared (key t signer) payload
 
-let verify t ~signer payload tag = Hmac.verify ~key:(key t signer) payload ~tag
+let verify t ~signer payload tag = Hmac.verify_prepared (key t signer) payload ~tag
 
 type signed = { signer : int; payload : string; signature : signature }
 

@@ -1,8 +1,11 @@
 (** Pure-OCaml SHA-256 (FIPS 180-4).
 
     The container is sealed, so we vendor the hash rather than depend on an
-    external crypto package. Verified against the FIPS test vectors in
-    [test/test_crypto.ml]. *)
+    external crypto package. Words are native [int]s masked to 32 bits, so
+    compressing a block allocates nothing; this requires 63-bit ints, and the
+    module fails at initialisation on a 32-bit platform. Verified against the
+    FIPS test vectors and, differentially, against a boxed-[Int32] reference
+    implementation in [test/test_crypto.ml]. *)
 
 type digest = string
 (** 32-byte raw digest. *)
@@ -20,6 +23,10 @@ type ctx
 (** Streaming context. *)
 
 val init : unit -> ctx
+
+val copy : ctx -> ctx
+(** An independent context in the same state: feeding either leaves the
+    other unchanged. [copy] only reads its argument. *)
 
 val feed : ctx -> string -> unit
 (** Absorb bytes; may be called repeatedly. *)

@@ -1,4 +1,6 @@
-(* Crypto substrate tests: FIPS 180-4 / RFC 4231 vectors plus the simulated
+(* Crypto substrate tests: FIPS 180-4 / RFC 4231 vectors, differential checks
+   against the boxed-Int32 reference SHA-256 ([Sha256_oracle]) and a textbook
+   RFC 2104 HMAC, an allocation bound on verification, and the simulated
    signature directory. *)
 
 open Qs_crypto
@@ -58,7 +60,10 @@ let test_sha_block_boundaries () =
       let d1 = Sha256.digest_string m in
       let ctx = Sha256.init () in
       String.iter (fun c -> Sha256.feed ctx (String.make 1 c)) m;
-      check_str (Printf.sprintf "len %d" len) (Sha256.hex d1) (Sha256.hex (Sha256.finalize ctx)))
+      check_str (Printf.sprintf "len %d" len) (Sha256.hex d1) (Sha256.hex (Sha256.finalize ctx));
+      check_str (Printf.sprintf "len %d vs reference" len)
+        (Sha256.hex (Sha256_oracle.digest_string m))
+        (Sha256.hex d1))
     [ 0; 1; 55; 56; 57; 63; 64; 65; 119; 120; 128 ]
 
 let test_sha_distinct_inputs () =
@@ -67,6 +72,12 @@ let test_sha_distinct_inputs () =
 
 let test_sha_digest_length () =
   Alcotest.(check int) "32 bytes" 32 (String.length (Sha256.digest_string "anything"))
+
+let test_hex_matches_printf () =
+  let all = String.init 256 Char.chr in
+  check_str "every byte value"
+    (String.concat "" (List.init 256 (Printf.sprintf "%02x")))
+    (Sha256.hex all)
 
 (* ------------------------------------------------------------------ *)
 (* HMAC-SHA256: RFC 4231 vectors *)
@@ -105,6 +116,38 @@ let test_hmac_verify () =
 
 (* ------------------------------------------------------------------ *)
 (* Auth: simulated signature directory *)
+
+(* The verify path starts from cached midstates and compresses on native
+   ints, so one check of a 200-byte payload allocates a few hundred words:
+   two context copies and the two digests. *)
+let test_auth_verify_allocation () =
+  let dir = Auth.create 4 in
+  let payload = String.init 200 (fun i -> Char.chr (i land 255)) in
+  let tag = Auth.sign dir ~signer:1 payload in
+  let runs = 100 in
+  ignore (Auth.verify dir ~signer:1 payload tag);
+  let before = Gc.minor_words () in
+  for _ = 1 to runs do
+    if not (Auth.verify dir ~signer:1 payload tag) then Alcotest.fail "valid tag rejected"
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int runs in
+  check_bool (Printf.sprintf "%.0f minor words per verify <= 512" words) true (words <= 512.0)
+
+(* One directory signing from two domains must give the sequential tags:
+   prepared keys are never written after [Auth.create]. On OCaml 4.14 the
+   pool runs the shards one after the other. *)
+let test_auth_shared_across_domains () =
+  let dir = Auth.create 4 in
+  let payloads = Array.init 64 (fun i -> String.make (3 * i) (Char.chr (65 + (i mod 26)))) in
+  let sign_all () = Array.mapi (fun i p -> Auth.sign dir ~signer:(i mod 4) p) payloads in
+  let expected = sign_all () in
+  let shards = Qs_stdx.Domainpool.run ~jobs:2 (fun _ -> List.init 50 (fun _ -> sign_all ())) in
+  Array.iteri
+    (fun k rounds ->
+      List.iter
+        (fun tags -> Alcotest.(check (array string)) (Printf.sprintf "shard %d" k) expected tags)
+        rounds)
+    shards
 
 let test_auth_sign_verify () =
   let dir = Auth.create 4 in
@@ -214,6 +257,59 @@ let prop_auth_tag_mutation =
       let sg = flip_byte s.Auth.signature (i mod String.length s.Auth.signature) x in
       not (Auth.check dir { s with Auth.signature = sg }))
 
+(* Differential properties: the native-int hash against the Int32 reference,
+   streaming against one-shot, and prepared-key HMAC against RFC 2104
+   written out over the reference hash. *)
+
+let padding_edges = [ 55; 56; 63; 64; 65; 119; 120; 128 ]
+
+let arb_message =
+  let len = QCheck.Gen.(frequency [ (3, int_range 0 300); (1, oneofl padding_edges) ]) in
+  QCheck.make ~print:QCheck.Print.string ~shrink:QCheck.Shrink.string
+    (QCheck.Gen.string_size ~gen:QCheck.Gen.char len)
+
+let prop_sha_matches_oracle =
+  QCheck.Test.make ~name:"sha256 matches the Int32 reference" ~count:300 arb_message (fun m ->
+      Sha256.digest_string m = Sha256_oracle.digest_string m)
+
+let prop_sha_random_chunks =
+  QCheck.Test.make ~name:"sha256 over random chunks equals one-shot" ~count:200
+    QCheck.(pair arb_message (list small_nat))
+    (fun (m, cuts) ->
+      let ctx = Sha256.init () in
+      let pos = ref 0 in
+      List.iter
+        (fun c ->
+          let take = min c (String.length m - !pos) in
+          Sha256.feed ctx (String.sub m !pos take);
+          pos := !pos + take)
+        cuts;
+      Sha256.feed ctx (String.sub m !pos (String.length m - !pos));
+      Sha256.finalize ctx = Sha256.digest_string m)
+
+(* H((K' xor opad) || H((K' xor ipad) || m)), where K' is the key, hashed
+   first if longer than the 64-byte block, zero-padded to 64 bytes. *)
+let textbook_hmac key msg =
+  let h = Sha256_oracle.digest_string in
+  let key = if String.length key > 64 then h key else key in
+  let key = key ^ String.make (64 - String.length key) '\x00' in
+  let xor pad = String.map (fun c -> Char.chr (Char.code c lxor pad)) key in
+  h (xor 0x5c ^ h (xor 0x36 ^ msg))
+
+let prop_hmac_textbook =
+  let key = QCheck.(string_of_size (Gen.int_range 0 150)) in
+  QCheck.Test.make ~name:"prepared-key hmac matches RFC 2104" ~count:300
+    (QCheck.pair key arb_message)
+    (fun (key, msg) ->
+      let expected = textbook_hmac key msg in
+      let prepared = Hmac.prepare key in
+      let first = Hmac.mac_prepared prepared msg in
+      (* A second tag under the same prepared key must not disturb it. *)
+      ignore (Hmac.mac_prepared prepared (msg ^ "x"));
+      first = expected
+      && Hmac.mac_prepared prepared msg = expected
+      && Hmac.mac ~key msg = expected)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -223,6 +319,9 @@ let qsuite =
       prop_auth_no_cross_signer;
       prop_auth_payload_mutation;
       prop_auth_tag_mutation;
+      prop_sha_matches_oracle;
+      prop_sha_random_chunks;
+      prop_hmac_textbook;
     ]
 
 let () =
@@ -239,6 +338,7 @@ let () =
           Alcotest.test_case "block boundary lengths" `Quick test_sha_block_boundaries;
           Alcotest.test_case "distinct inputs" `Quick test_sha_distinct_inputs;
           Alcotest.test_case "digest length" `Quick test_sha_digest_length;
+          Alcotest.test_case "hex matches printf" `Quick test_hex_matches_printf;
         ] );
       ( "hmac",
         [
@@ -259,6 +359,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_auth_deterministic;
           Alcotest.test_case "master secret" `Quick test_auth_master_changes_keys;
           Alcotest.test_case "universe" `Quick test_auth_universe;
+          Alcotest.test_case "verify allocation bound" `Quick test_auth_verify_allocation;
+          Alcotest.test_case "shared across domains" `Quick test_auth_shared_across_domains;
         ] );
       ("properties", qsuite);
     ]
