@@ -1,16 +1,7 @@
 (* Bench-regression gate: diff a fresh BENCH_qsel.json against a committed
-   baseline.
-
-   The gate keys on metrics that are properties of the *code*, not the
-   runner: bytes shipped by gossip, per-packet allocation, agreement
-   booleans, seeded commission-fault conviction counters, and the
-   cross-size select-throughput ratio (a 2× slowdown at n=1024 doubles the
-   ratio even though both absolute numbers move with the machine).
-   Absolute wall-clock ns/run results are compared too, but report-only:
-   they fail nothing, they just show the drift.
-
-   Improvements pass silently — the gate only stops regressions; ratchet
-   the baseline forward with [derive_baseline] (--update-baseline). *)
+   baseline. What is gated, and how, is the one [table] below: [check]
+   walks it for verdicts and [derive_baseline] for the fields a baseline
+   carries. The rule kinds and sections are documented in the .mli. *)
 
 exception Malformed of string
 
@@ -50,14 +41,15 @@ let field name j =
   | Some v -> v
   | None -> malformed "missing field %S" name
 
-let list_exn name j =
-  match field name j with
+let items what = function
   | Json.List l -> l
-  | _ -> malformed "field %S is not a list" name
+  | _ -> malformed "field %S is not a list" what
 
-let int_f name j = Json.to_int_exn (field name j)
-
-let float_f name j = Json.to_float_exn (field name j)
+let float_f name j =
+  match field name j with
+  | Json.Int i -> float_of_int i
+  | Json.Float x -> x
+  | _ -> malformed "field %S is not a number" name
 
 let string_f name j = Json.to_string_exn (field name j)
 
@@ -66,31 +58,177 @@ let bool_f name j =
   | Json.Bool v -> v
   | _ -> malformed "field %S is not a bool" name
 
+(* An absent list reads as empty: a section the file does not carry. *)
+let rows name j =
+  match Json.member name j with Some l -> items name l | None -> []
+
+(* Numbers compare by value, so [1] and [1.0] are the same pin. *)
+let same a b =
+  match (a, b) with
+  | (Json.Int _ | Json.Float _), (Json.Int _ | Json.Float _) ->
+    Json.to_float_exn a = Json.to_float_exn b
+  | _ -> a = b
+
+let show = function
+  | Json.Float x -> Printf.sprintf "%g" x
+  | Json.String s -> s
+  | j -> Json.render j
+
 (* ------------------------------------------------------------------ *)
-(* Tolerances, stored in the baseline so a deliberate loosening is a
-   reviewed diff. *)
+(* The rule table. Tolerances are named fields of the baseline's
+   [tolerances] object, so a deliberate loosening is a reviewed diff. *)
 
-type tolerances = { bytes : float; select_ratio : float; alloc_abs : float }
+type rule =
+  | Pin  (** equal to the baseline *)
+  | Cap of string  (** at most baseline × the named tolerance *)
+  | Max of string  (** at most the named tolerance *)
+  | Holds  (** a bool that must be true *)
+  | Is of Json.t  (** equal to a constant *)
+  | Positive
+  | Same_as of string  (** equal to another field of the same point *)
+  | Warn_below of float * int
+      (** report-only: below the floor at points keyed at least the int *)
+  | Ratio  (** carried for [ratio_check]; no verdict of its own *)
 
-let default_tolerances = { bytes = 1.25; select_ratio = 1.75; alloc_abs = 128.0 }
-
-let tolerances_of_json j =
-  match Json.member "tolerances" j with
-  | None -> default_tolerances
-  | Some t ->
-    {
-      bytes = float_f "bytes" t;
-      select_ratio = float_f "select_ratio" t;
-      alloc_abs = float_f "alloc_abs" t;
-    }
-
-let tolerances_json t =
+let default_tolerances =
   Json.Obj
     [
-      ("bytes", Json.Float t.bytes);
-      ("select_ratio", Json.Float t.select_ratio);
-      ("alloc_abs", Json.Float t.alloc_abs);
+      ("bytes", Json.Float 1.25);
+      ("select_ratio", Json.Float 1.75);
+      ("alloc_abs", Json.Float 128.0);
     ]
+
+(* (section path, point key, field, rule). A keyed section is a list of
+   points matched by the key field; an unkeyed one is a single object. *)
+let table =
+  [
+    (* E15: gossip bytes, the zero-byte steady-state delta tick, per-packet
+       idle allocation, incremental-vs-scratch agreement. *)
+    ("scaling", Some "n", "full_push_bytes", Cap "bytes");
+    ("scaling", Some "n", "delta_sync_bytes", Cap "bytes");
+    ("scaling", Some "n", "delta_idle_bytes", Is (Json.Int 0));
+    ("scaling", Some "n", "idle_alloc_per_packet", Max "alloc_abs");
+    ("scaling", Some "n", "lex_agrees", Holds);
+    ("scaling", Some "n", "mis_agrees", Holds);
+    ("scaling", Some "n", "peer_converged", Holds);
+    ("scaling", Some "n", "select_ops_per_sec", Ratio);
+    (* Seeded commission faults: the simulation is deterministic. *)
+    ("commission", Some "stack", "proofs", Pin);
+    ("commission", Some "stack", "forgeries", Pin);
+    ("commission", Some "stack", "violations", Is (Json.Int 0));
+    (* E16: deterministic apart from the reconfig throughput. *)
+    ("churn", Some "n", "joins", Pin);
+    ("churn", Some "n", "leaves", Pin);
+    ("churn", Some "n", "ejects", Pin);
+    ("churn", Some "n", "quorum_changes", Pin);
+    ("churn", Some "n", "availability", Is (Json.Float 1.0));
+    ("churn", Some "n", "remap_consistent", Holds);
+    ("churn", Some "n", "departed_clean", Holds);
+    (* E17: every worker count reproduces the jobs=1 report and state set;
+       speedup is the runner's — a single-core box honestly reports 1.0×. *)
+    ("explore.points", Some "jobs", "identical_report", Holds);
+    ("explore.points", Some "jobs", "same_states", Holds);
+    ("explore.points", Some "jobs", "speedup", Warn_below (2.5, 4));
+    ("explore.exhaustive", None, "sets_agree", Holds);
+    ("explore.exhaustive", None, "sym_collapses", Holds);
+    ("explore.exhaustive", None, "seq_visited", Pin);
+    ("explore.exhaustive", None, "sym_visited", Pin);
+    (* E18: fully deterministic; the intersection verdicts gate from the
+       current run alone and must be non-vacuous. *)
+    ("policy.points", Some "policy", "max_exposure", Pin);
+    ("policy.points", Some "policy", "outages", Pin);
+    ("policy.points", Some "policy", "availability", Pin);
+    ("policy.points", Some "policy", "quorum_changes", Pin);
+    ("policy.points", Some "policy", "repairs_clean", Holds);
+    ("policy.points", Some "policy", "agreement", Holds);
+    ("policy.points", Some "policy", "t3_ok", Holds);
+    ("policy.intersection", None, "ok", Holds);
+    ("policy.intersection", None, "pairs", Positive);
+    ("policy.intersection", None, "sampled_ok", Holds);
+    ("policy.intersection", None, "sampled_pairs", Positive);
+    (* Real runtime: the scripted component counters are pinned; the
+       cluster run's safety bits gate from the current run alone, and its
+       commit latency is the runner's wall clock. *)
+    ("runtime.component", None, "mailbox_shed", Pin);
+    ("runtime.component", None, "dedup_dropped", Pin);
+    ("runtime.component", None, "corrupt_rejected", Pin);
+    ("runtime.component", None, "reconnected", Holds);
+    ("runtime.cluster", None, "committed", Same_as "requests");
+    ("runtime.cluster", None, "prefix_agreement", Holds);
+    ("runtime.cluster", None, "violations", Is (Json.Int 0));
+    ("runtime.cluster", None, "nemesis_unsupported", Is (Json.Int 0));
+  ]
+
+(* The table's sections in order, each with its (field, rule) rows. *)
+let sections =
+  List.fold_right
+    (fun (path, key, f, r) -> function
+      | (p, k, rules) :: rest when p = path && k = key ->
+        (p, k, (f, r) :: rules) :: rest
+      | acc -> (path, key, [ (f, r) ]) :: acc)
+    table []
+
+(* ------------------------------------------------------------------ *)
+
+(* The verdicts of one rule at one point. [base] is forced only by the
+   rules that compare against the baseline, so a section such as
+   [policy.intersection] needs no baseline counterpart. *)
+let apply ~tol ~tag ~at ~cur ~base (name, rule) =
+  let v = field name cur in
+  let baseline () = field name (Lazy.force base) in
+  let label what = Printf.sprintf "%s: %s" tag what in
+  let gate what ok detail = [ hard (label what) ok detail ] in
+  match rule with
+  | Pin ->
+    gate name (same v (baseline ())) (show v ^ " vs baseline " ^ show (baseline ()))
+  | Cap t ->
+    let cap = float_f name (Lazy.force base) *. float_f t tol in
+    gate name (float_f name cur <= cap)
+      (Printf.sprintf "%s vs baseline %s (cap %.0f)" (show v) (show (baseline ())) cap)
+  | Max t ->
+    let cap = float_f t tol in
+    gate (name ^ " within cap") (float_f name cur <= cap)
+      (Printf.sprintf "%s (cap %.0f)" (show v) cap)
+  | Holds -> gate name (bool_f name cur) (show v)
+  | Is c -> gate (name ^ " = " ^ show c) (same v c) (show v)
+  | Positive -> gate (name ^ " > 0") (float_f name cur > 0.0) (show v)
+  | Same_as other ->
+    let o = field other cur in
+    gate (name ^ " = " ^ other) (same v o) (show v ^ " of " ^ show o)
+  | Warn_below (floor, from)
+    when Option.fold ~none:true ~some:(fun k -> Json.to_int_exn k >= from) at ->
+    [
+      soft
+        (label (Printf.sprintf "%s >= %g" name floor))
+        (float_f name cur >= floor)
+        (show v ^ " (report-only: the runner's core count)");
+    ]
+  | Warn_below _ | Ratio -> []
+
+(* A section is gated exactly when the baseline carries its top-level
+   field; every baseline point must then be present in the current run. *)
+let check_section ~tol ~current ~baseline (path, key, rules) =
+  let steps = String.split_on_char '.' path in
+  let at_path j = List.fold_left (fun j k -> field k j) j steps in
+  let run ~tag ~at ~cur ~base =
+    List.concat_map (apply ~tol ~tag ~at ~cur ~base) rules
+  in
+  if Json.member (List.hd steps) baseline = None then []
+  else
+    match key with
+    | None ->
+      run ~tag:path ~at:None ~cur:(at_path current) ~base:(lazy (at_path baseline))
+    | Some k ->
+      List.concat_map
+        (fun base ->
+          let id = field k base in
+          let tag = Printf.sprintf "%s %s=%s" path k (show id) in
+          match
+            List.find_opt (fun c -> same (field k c) id) (items path (at_path current))
+          with
+          | None -> [ hard (tag ^ ": present in current run") false "point missing" ]
+          | Some cur -> run ~tag ~at:(Some id) ~cur ~base:(Lazy.from_val base))
+        (items path (at_path baseline))
 
 (* The cross-size degradation factor: select throughput at the smallest n
    over the largest. Machine speed cancels out of the quotient. *)
@@ -98,274 +236,45 @@ let select_ratio scaling =
   match scaling with
   | [] | [ _ ] -> None
   | points ->
-    let by_n = List.map (fun p -> (int_f "n" p, p)) points in
+    let by_n = List.map (fun p -> (Json.to_int_exn (field "n" p), p)) points in
     let smallest = List.fold_left min max_int (List.map fst by_n) in
     let largest = List.fold_left max 0 (List.map fst by_n) in
     let ops n = float_f "select_ops_per_sec" (List.assoc n by_n) in
     let lo = ops largest in
     if lo <= 0.0 then None else Some (ops smallest /. lo)
 
-(* ------------------------------------------------------------------ *)
-
-let check_scaling_point ~tol ~current_points base =
-  let n = int_f "n" base in
-  let tag s = Printf.sprintf "scaling n=%d: %s" n s in
-  match
-    List.find_opt (fun p -> int_f "n" p = n) current_points
-  with
-  | None -> [ hard (tag "present in current run") false "point missing" ]
-  | Some cur ->
-    let bytes name =
-      let b = int_f name base and c = int_f name cur in
-      let cap = float_of_int b *. tol.bytes in
-      hard (tag name)
-        (float_of_int c <= cap)
-        (Printf.sprintf "%d vs baseline %d (cap %.0f)" c b cap)
-    in
-    let agrees name =
-      hard (tag name) (bool_f name cur) (if bool_f name cur then "true" else "false")
-    in
-    let idle = int_f "delta_idle_bytes" cur in
-    let alloc = float_f "idle_alloc_per_packet" cur in
+let ratio_check ~tol ~current ~baseline =
+  let ratio j = select_ratio (rows "scaling" j) in
+  match (ratio baseline, ratio current) with
+  | None, _ -> []
+  | Some b, Some c ->
+    let cap = b *. float_f "select_ratio" tol in
     [
-      bytes "full_push_bytes";
-      bytes "delta_sync_bytes";
-      hard (tag "delta_idle_bytes = 0") (idle = 0) (string_of_int idle);
-      hard
-        (tag "idle_alloc_per_packet within cap")
-        (alloc <= tol.alloc_abs)
-        (Printf.sprintf "%.0f B (cap %.0f)" alloc tol.alloc_abs);
-      agrees "lex_agrees";
-      agrees "mis_agrees";
-      agrees "peer_converged";
+      hard "select throughput ratio (smallest n / largest n)" (c <= cap)
+        (Printf.sprintf "%.1f vs baseline %.1f (cap %.1f)" c b cap);
     ]
-
-(* The E16 churn sweep is deterministic apart from the reconfig
-   throughput, so everything else is pinned exactly: the join/leave/eject
-   script counters, quorum-stability count, full availability, and the
-   remap-consistency booleans. *)
-let check_churn_point ~current_points base =
-  let n = int_f "n" base in
-  let tag s = Printf.sprintf "churn n=%d: %s" n s in
-  match List.find_opt (fun p -> int_f "n" p = n) current_points with
-  | None -> [ hard (tag "present in current run") false "point missing" ]
-  | Some cur ->
-    let eq name =
-      let b = int_f name base and c = int_f name cur in
-      hard (tag name) (c = b) (Printf.sprintf "%d vs baseline %d" c b)
-    in
-    let agrees name =
-      hard (tag name) (bool_f name cur) (if bool_f name cur then "true" else "false")
-    in
-    let avail = float_f "availability" cur in
-    [
-      eq "joins";
-      eq "leaves";
-      eq "ejects";
-      eq "quorum_changes";
-      hard (tag "availability = 1.0") (avail = 1.0) (Printf.sprintf "%.2f" avail);
-      agrees "remap_consistent";
-      agrees "departed_clean";
-    ]
-
-(* The E18 policy sweep is fully deterministic — exposure, outage and
-   quorum-change counts, availability, and the repair/agreement/Theorem-3
-   booleans are code properties pinned exactly against the baseline. The
-   intersection verdicts are gated from the current run alone: every
-   cross-policy group must pass, non-vacuously, and so must the sampled
-   n=1024 point. *)
-let check_policy_point ~current_points base =
-  let name = string_f "policy" base in
-  let tag s = Printf.sprintf "policy %s: %s" name s in
-  match List.find_opt (fun p -> string_f "policy" p = name) current_points with
-  | None -> [ hard (tag "present in current run") false "point missing" ]
-  | Some cur ->
-    let eq fname =
-      let b = int_f fname base and c = int_f fname cur in
-      hard (tag fname) (c = b) (Printf.sprintf "%d vs baseline %d" c b)
-    in
-    let agrees fname =
-      hard (tag fname) (bool_f fname cur)
-        (if bool_f fname cur then "true" else "false")
-    in
-    let avail = float_f "availability" cur
-    and bavail = float_f "availability" base in
-    [
-      eq "max_exposure";
-      eq "outages";
-      eq "quorum_changes";
-      hard (tag "availability matches")
-        (avail = bavail)
-        (Printf.sprintf "%.2f vs baseline %.2f" avail bavail);
-      agrees "repairs_clean";
-      agrees "agreement";
-      agrees "t3_ok";
-    ]
-
-let check_policy ~current base =
-  let cur_points = list_exn "points" current in
-  let isect = field "intersection" current in
-  let point_checks =
-    List.concat_map
-      (check_policy_point ~current_points:cur_points)
-      (list_exn "points" base)
-  in
-  let pairs = int_f "pairs" isect and sampled_pairs = int_f "sampled_pairs" isect in
-  point_checks
-  @ [
-      hard "policy intersection: every cross-policy group ok"
-        (bool_f "ok" isect)
-        (if bool_f "ok" isect then "true" else "false");
-      hard "policy intersection: groups non-vacuous" (pairs > 0)
-        (Printf.sprintf "%d pairs" pairs);
-      hard "policy intersection: sampled n=1024 ok"
-        (bool_f "sampled_ok" isect && sampled_pairs > 0)
-        (Printf.sprintf "ok=%b over %d pairs" (bool_f "sampled_ok" isect)
-           sampled_pairs);
-    ]
-
-(* The E17 multicore-exploration sweep. Determinism is a code property and
-   gated hard: every worker count must produce a byte-identical fuzz report
-   and visited-state set, the sharded IDDFS must visit exactly the
-   sequential explorer's states, and the visited/symmetry state counts are
-   pinned to the baseline. Throughput and speedup belong to the runner —
-   a single-core CI box legitimately reports 1.0x — so the fuzz-scaling
-   expectation is a warn-only check. *)
-let check_explore ~current base =
-  let cur_points = list_exn "points" current in
-  let cur_ex = field "exhaustive" current in
-  let per_jobs =
-    List.concat_map
-      (fun j ->
-        let tag s = Printf.sprintf "explore jobs=%d: %s" j s in
-        match List.find_opt (fun p -> int_f "jobs" p = j) cur_points with
-        | None -> [ hard (tag "present in current run") false "point missing" ]
-        | Some p ->
-          let speedup = float_f "speedup" p in
-          [
-            hard (tag "report identical to jobs=1") (bool_f "identical_report" p)
-              (if bool_f "identical_report" p then "true" else "false");
-            hard (tag "same visited-state set") (bool_f "same_states" p)
-              (if bool_f "same_states" p then "true" else "false");
-          ]
-          @
-          if j >= 4 then
-            [
-              soft (tag "fuzz speedup >= 2.5x")
-                (speedup >= 2.5)
-                (Printf.sprintf "%.2fx (report-only: honest 1.0x on 1 core)"
-                   speedup);
-            ]
-          else [])
-      (match Json.member "jobs" base with
-      | Some (Json.List js) -> List.map Json.to_int_exn js
-      | _ -> malformed "baseline explore has no jobs list")
-  in
-  let eq name =
-    let b = int_f name base and c = int_f name cur_ex in
-    hard
-      (Printf.sprintf "explore exhaustive: %s" name)
-      (c = b)
-      (Printf.sprintf "%d vs baseline %d" c b)
-  in
-  per_jobs
-  @ [
-      hard "explore exhaustive: sharded set matches sequential"
-        (bool_f "sets_agree" cur_ex)
-        (if bool_f "sets_agree" cur_ex then "true" else "false");
-      hard "explore exhaustive: symmetry collapses states"
-        (bool_f "sym_collapses" cur_ex)
-        (if bool_f "sym_collapses" cur_ex then "true" else "false");
-      eq "seq_visited";
-      eq "sym_visited";
-    ]
-
-let check_commission ~current base =
-  let stack = string_f "stack" base in
-  let tag s = Printf.sprintf "commission %s: %s" stack s in
-  match
-    List.find_opt (fun c -> string_f "stack" c = stack) current
-  with
-  | None -> [ hard (tag "present in current run") false "stack missing" ]
-  | Some cur ->
-    let eq name =
-      let b = int_f name base and c = int_f name cur in
-      hard (tag name) (c = b) (Printf.sprintf "%d vs baseline %d" c b)
-    in
-    let violations = int_f "violations" cur in
-    [
-      eq "proofs";
-      eq "forgeries";
-      hard (tag "violations = 0") (violations = 0) (string_of_int violations);
-    ]
-
-(* The real-runtime section. The component counters come from a fixed
-   scripted sequence (mailbox pushes, crafted frames against a live TCP
-   endpoint) and are pinned exactly against the baseline. The cluster
-   verdicts — zero monitor violations, committed-prefix agreement, full
-   workload committed, no silently-unsupported nemesis phases — are safety
-   bits gated hard from the current run alone. Commit latency is the
-   runner's wall clock: report-only. *)
-let check_runtime ~current base =
-  let cur_comp = field "component" current in
-  let base_comp = field "component" base in
-  let cur_cluster = field "cluster" current in
-  let eq name =
-    let b = int_f name base_comp and c = int_f name cur_comp in
-    hard
-      (Printf.sprintf "runtime component: %s" name)
-      (c = b)
-      (Printf.sprintf "%d vs baseline %d" c b)
-  in
-  let committed = int_f "committed" cur_cluster in
-  let requests = int_f "requests" cur_cluster in
-  let violations = int_f "violations" cur_cluster in
-  let unsupported = int_f "nemesis_unsupported" cur_cluster in
-  [
-    eq "mailbox_shed";
-    eq "dedup_dropped";
-    eq "corrupt_rejected";
-    hard "runtime component: reconnected"
-      (bool_f "reconnected" cur_comp)
-      (if bool_f "reconnected" cur_comp then "true" else "false");
-    hard "runtime cluster: full workload committed" (committed = requests)
-      (Printf.sprintf "%d of %d" committed requests);
-    hard "runtime cluster: prefix agreement"
-      (bool_f "prefix_agreement" cur_cluster)
-      (if bool_f "prefix_agreement" cur_cluster then "true" else "false");
-    hard "runtime cluster: monitor violations = 0" (violations = 0)
-      (string_of_int violations);
-    hard "runtime cluster: no unsupported nemesis phases" (unsupported = 0)
-      (string_of_int unsupported);
-  ]
+  | Some _, None ->
+    [ hard "select throughput ratio computable" false "missing in current" ]
 
 (* Wall-clock drift, report-only: flag anything 1.5× slower than baseline
    but fail nothing — absolute ns are the runner's, not the code's. *)
-let check_results ~current base =
-  let key j = (string_f "group" j, string_f "name" j) in
+let ns_drift ~current ~baseline =
+  let ns r =
+    match field "ns_per_run" r with Json.Null -> None | _ -> Some (float_f "ns_per_run" r)
+  in
+  let by_name name =
+    List.find_opt (fun c -> string_f "name" c = name) (rows "results" current)
+  in
   List.filter_map
     (fun b ->
-      match field "ns_per_run" b with
-      | Json.Null -> None
-      | bns -> (
-        let bns = Json.to_float_exn bns in
-        match List.find_opt (fun c -> key c = key b) current with
-        | None -> None
-        | Some c -> (
-          match field "ns_per_run" c with
-          | Json.Null -> None
-          | cns ->
-            let cns = Json.to_float_exn cns in
-            let g, n = key b in
-            if bns > 0.0 && cns > bns *. 1.5 then
-              Some
-                (soft
-                   (Printf.sprintf "ns %s/%s" g n)
-                   false
-                   (Printf.sprintf "%.0f ns vs baseline %.0f ns (%.1fx)" cns
-                      bns (cns /. bns)))
-            else None)))
-    base
+      let name = string_f "name" b in
+      match (ns b, Option.bind (by_name name) ns) with
+      | Some bns, Some cns when bns > 0.0 && cns > bns *. 1.5 ->
+        Some
+          (soft ("ns " ^ name) false
+             (Printf.sprintf "%.0f ns vs baseline %.0f ns (%.1fx)" cns bns (cns /. bns)))
+      | _ -> None)
+    (rows "results" baseline)
 
 let check ~current ~baseline =
   let cs = string_f "schema" current in
@@ -378,7 +287,7 @@ let check ~current ~baseline =
   in
   if not (passed schema_ok) then schema_ok
   else begin
-    let tol = tolerances_of_json baseline in
+    let tol = field "tolerances" baseline in
     let quick_ok =
       let bq = bool_f "quick" baseline and cq = bool_f "quick" current in
       hard "quick flag matches baseline" (bq = cq)
@@ -390,201 +299,50 @@ let check ~current ~baseline =
       | Json.Bool b -> hard "experiments_ok" b (string_of_bool b)
       | _ -> malformed "experiments_ok is neither null nor bool"
     in
-    let cur_scaling = list_exn "scaling" current in
-    let scaling_checks =
-      List.concat_map
-        (check_scaling_point ~tol ~current_points:cur_scaling)
-        (list_exn "scaling" baseline)
-    in
-    let ratio_check =
-      match
-        (select_ratio (list_exn "scaling" baseline), select_ratio cur_scaling)
-      with
-      | Some b, Some c ->
-        let cap = b *. tol.select_ratio in
-        [
-          hard "select throughput ratio (smallest n / largest n)"
-            (c <= cap)
-            (Printf.sprintf "%.1f vs baseline %.1f (cap %.1f)" c b cap);
-        ]
-      | Some _, None ->
-        [ hard "select throughput ratio computable" false "missing in current" ]
-      | None, _ -> []
-    in
-    let commission_checks =
-      List.concat_map
-        (check_commission ~current:(list_exn "commission" current))
-        (list_exn "commission" baseline)
-    in
-    let churn_checks =
-      (* Absent from pre-churn baselines; derive_baseline always emits it,
-         so one --update-baseline turns the section on. *)
-      match Json.member "churn" baseline with
-      | None | Some (Json.List []) -> []
-      | Some (Json.List base_points) ->
-        let current_points = list_exn "churn" current in
-        List.concat_map (check_churn_point ~current_points) base_points
-      | Some _ -> malformed "field \"churn\" is not a list"
-    in
-    let explore_checks =
-      (* Absent from pre-multicore baselines, same opt-in as churn. *)
-      match Json.member "explore" baseline with
-      | None -> []
-      | Some base -> check_explore ~current:(field "explore" current) base
-    in
-    let policy_checks =
-      (* Absent from pre-policy baselines, same opt-in as churn/explore. *)
-      match Json.member "policy" baseline with
-      | None -> []
-      | Some base -> check_policy ~current:(field "policy" current) base
-    in
-    let runtime_checks =
-      (* Absent from pre-runtime baselines, same opt-in as churn/explore. *)
-      match Json.member "runtime" baseline with
-      | None -> []
-      | Some base -> check_runtime ~current:(field "runtime" current) base
-    in
-    let ns_checks =
-      match (Json.member "results" baseline, Json.member "results" current) with
-      | Some (Json.List b), Some (Json.List c) -> check_results ~current:c b
-      | _ -> []
-    in
-    (quick_ok :: experiments_ok :: scaling_checks)
-    @ ratio_check @ commission_checks @ churn_checks @ explore_checks
-    @ policy_checks @ runtime_checks @ ns_checks
+    (quick_ok :: experiments_ok
+    :: List.concat_map (check_section ~tol ~current ~baseline) sections)
+    @ ratio_check ~tol ~current ~baseline
+    @ ns_drift ~current ~baseline
   end
 
 (* ------------------------------------------------------------------ *)
 
+(* Dotted paths a baseline carries: the quick flag, the ns rows, and from
+   the table every point key plus each field a rule compares against the
+   baseline. *)
+let carried =
+  [ "quick"; "results.group"; "results.name"; "results.ns_per_run" ]
+  @ List.concat_map
+      (fun (path, key, f, rule) ->
+        List.map
+          (fun f -> path ^ "." ^ f)
+          (Option.to_list key @ match rule with Pin | Cap _ | Ratio -> [ f ] | _ -> []))
+      table
+
+(* Keep the carried leaves of an object's fields and the objects and lists
+   on the way to them; list elements share their list's path. *)
+let rec prune path fields =
+  List.filter_map
+    (fun (k, v) ->
+      let p = if path = "" then k else path ^ "." ^ k in
+      if List.mem p carried then Some (k, v)
+      else if List.exists (String.starts_with ~prefix:(p ^ ".")) carried then
+        Some (k, prune_value p v)
+      else None)
+    fields
+
+and prune_value path = function
+  | Json.Obj fields -> Json.Obj (prune path fields)
+  | Json.List l -> Json.List (List.map (prune_value path) l)
+  | j -> j
+
 let derive_baseline bench =
   if string_f "schema" bench <> bench_schema then
     malformed "derive_baseline: not a %s file" bench_schema;
-  let scaling =
-    List.map
-      (fun p ->
-        Json.Obj
-          [
-            ("n", Json.Int (int_f "n" p));
-            ("full_push_bytes", Json.Int (int_f "full_push_bytes" p));
-            ("delta_sync_bytes", Json.Int (int_f "delta_sync_bytes" p));
-            ("select_ops_per_sec", Json.Float (float_f "select_ops_per_sec" p));
-          ])
-      (list_exn "scaling" bench)
-  in
-  let commission =
-    List.map
-      (fun c ->
-        Json.Obj
-          [
-            ("stack", Json.String (string_f "stack" c));
-            ("proofs", Json.Int (int_f "proofs" c));
-            ("forgeries", Json.Int (int_f "forgeries" c));
-          ])
-      (list_exn "commission" bench)
-  in
-  let churn =
-    match Json.member "churn" bench with
-    | Some (Json.List ps) ->
-      List.map
-        (fun p ->
-          Json.Obj
-            [
-              ("n", Json.Int (int_f "n" p));
-              ("joins", Json.Int (int_f "joins" p));
-              ("leaves", Json.Int (int_f "leaves" p));
-              ("ejects", Json.Int (int_f "ejects" p));
-              ("quorum_changes", Json.Int (int_f "quorum_changes" p));
-            ])
-        ps
-    | _ -> []
-  in
-  let explore =
-    match Json.member "explore" bench with
-    | Some e ->
-      let ex = field "exhaustive" e in
-      [
-        ( "explore",
-          Json.Obj
-            [
-              ( "jobs",
-                Json.List
-                  (List.map
-                     (fun p -> Json.Int (int_f "jobs" p))
-                     (list_exn "points" e)) );
-              ("seq_visited", Json.Int (int_f "seq_visited" ex));
-              ("sym_visited", Json.Int (int_f "sym_visited" ex));
-            ] );
-      ]
-    | None -> []
-  in
-  let policy =
-    match Json.member "policy" bench with
-    | Some p ->
-      [
-        ( "policy",
-          Json.Obj
-            [
-              ( "points",
-                Json.List
-                  (List.map
-                     (fun pt ->
-                       Json.Obj
-                         [
-                           ("policy", Json.String (string_f "policy" pt));
-                           ("max_exposure", Json.Int (int_f "max_exposure" pt));
-                           ("outages", Json.Int (int_f "outages" pt));
-                           ( "availability",
-                             Json.Float (float_f "availability" pt) );
-                           ( "quorum_changes",
-                             Json.Int (int_f "quorum_changes" pt) );
-                         ])
-                     (list_exn "points" p)) );
-            ] );
-      ]
-    | None -> []
-  in
-  let runtime =
-    match Json.member "runtime" bench with
-    | Some (Json.Obj _ as r) ->
-      let comp = field "component" r in
-      [
-        ( "runtime",
-          Json.Obj
-            [
-              ( "component",
-                Json.Obj
-                  [
-                    ("mailbox_shed", Json.Int (int_f "mailbox_shed" comp));
-                    ("dedup_dropped", Json.Int (int_f "dedup_dropped" comp));
-                    ( "corrupt_rejected",
-                      Json.Int (int_f "corrupt_rejected" comp) );
-                  ] );
-            ] );
-      ]
-    | _ -> []
-  in
-  let results =
-    match Json.member "results" bench with
-    | Some (Json.List rs) ->
-      List.map
-        (fun r ->
-          Json.Obj
-            [
-              ("group", Json.String (string_f "group" r));
-              ("name", Json.String (string_f "name" r));
-              ("ns_per_run", field "ns_per_run" r);
-            ])
-        rs
-    | _ -> []
-  in
-  Json.Obj
-    ([
-       ("schema", Json.String baseline_schema);
-       ("quick", Json.Bool (bool_f "quick" bench));
-       ("tolerances", tolerances_json default_tolerances);
-       ("scaling", Json.List scaling);
-       ("commission", Json.List commission);
-       ("churn", Json.List churn);
-     ]
-    @ explore @ policy @ runtime
-    @ [ ("results", Json.List results) ])
+  match prune_value "" bench with
+  | Json.Obj fields ->
+    Json.Obj
+      (("schema", Json.String baseline_schema)
+      :: ("tolerances", default_tolerances)
+      :: fields)
+  | _ -> malformed "derive_baseline: not an object"

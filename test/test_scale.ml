@@ -305,7 +305,85 @@ let policy_section ?points ?(ok = true) ?(pairs = 8) ?(sampled_ok = true)
           ] );
     ]
 
-let bench ?(scaling = []) ?(churn = [ churn_point () ]) ?policy () =
+(* Mirrors the E17 shape: per-worker-count fuzz points plus the
+   exhaustive/symmetry agreement counts. *)
+let explore_point ~jobs ?(speedup = 1.0) ?(identical = true)
+    ?(same_states = true) () =
+  Json.Obj
+    [
+      ("jobs", Json.Int jobs);
+      ("iters", Json.Int 60);
+      ("visited", Json.Int 936);
+      ("elapsed_s", Json.Float 0.2);
+      ("states_per_sec", Json.Float 5000.0);
+      ("speedup", Json.Float speedup);
+      ("identical_report", Json.Bool identical);
+      ("same_states", Json.Bool same_states);
+    ]
+
+(* A healthy sweep scales past the 2.5x report-only floor, so the only
+   warnings a test sees are the ones it injects. *)
+let explore_points ?(slow_jobs = 0) ?(drop_jobs = 0) () =
+  List.filter_map
+    (fun jobs ->
+      if jobs = drop_jobs then None
+      else
+        let speedup =
+          if jobs = slow_jobs then 0.5 else if jobs = 1 then 1.0 else 3.0
+        in
+        Some (explore_point ~jobs ~speedup ()))
+    [ 1; 2; 4; 8 ]
+
+let explore_section ?points ?(seq_visited = 509) ?(sets_agree = true)
+    ?(sym_visited = 272) ?(sym_collapses = true) () =
+  let points = match points with Some p -> p | None -> explore_points () in
+  Json.Obj
+    [
+      ("points", Json.List points);
+      ( "exhaustive",
+        Json.Obj
+          [
+            ("seq_visited", Json.Int seq_visited);
+            ("par_visited", Json.Int seq_visited);
+            ("sets_agree", Json.Bool sets_agree);
+            ("sym_visited", Json.Int sym_visited);
+            ("sym_collapses", Json.Bool sym_collapses);
+          ] );
+    ]
+
+(* Mirrors the runtime section: scripted component counters plus one
+   nemesis cluster run. *)
+let runtime_section ?(mailbox_shed = 5) ?(reconnected = true) ?(committed = 3)
+    ?(prefix_agreement = true) ?(violations = 0) ?(nemesis_unsupported = 0) ()
+    =
+  Json.Obj
+    [
+      ( "component",
+        Json.Obj
+          [
+            ("mailbox_shed", Json.Int mailbox_shed);
+            ("dedup_dropped", Json.Int 2);
+            ("corrupt_rejected", Json.Int 1);
+            ("reconnected", Json.Bool reconnected);
+          ] );
+      ( "cluster",
+        Json.Obj
+          [
+            ("n", Json.Int 4);
+            ("f", Json.Int 1);
+            ("requests", Json.Int 3);
+            ("committed", Json.Int committed);
+            ("prefix_agreement", Json.Bool prefix_agreement);
+            ("violations", Json.Int violations);
+            ("monitor_checks", Json.Int 84);
+            ("nemesis_unsupported", Json.Int nemesis_unsupported);
+            ("commit_latency_ns_p50", Json.Int 5_219_000);
+            ("commit_latency_ns_max", Json.Int 5_421_000);
+          ] );
+    ]
+
+let bench ?(scaling = []) ?(churn = [ churn_point () ]) ?policy ?explore
+    ?runtime ?(results = []) () =
   Json.Obj
     ([
        ("schema", Json.String "qsel-bench/1");
@@ -325,8 +403,10 @@ let bench ?(scaling = []) ?(churn = [ churn_point () ]) ?policy () =
        ("scaling", Json.List scaling);
        ("churn", Json.List churn);
      ]
+    @ (match explore with None -> [] | Some e -> [ ("explore", e) ])
     @ (match policy with None -> [] | Some p -> [ ("policy", p) ])
-    @ [ ("results", Json.List []) ])
+    @ (match runtime with None -> [] | Some r -> [ ("runtime", r) ])
+    @ [ ("results", Json.List results) ])
 
 let scaling_healthy () =
   [ point ~n:64 ~select:400_000.0 (); point ~n:1024 ~select:10_000.0 () ]
@@ -493,6 +573,178 @@ let test_gate_fails_policy_intersection () =
   in
   check_bool "sampled n=1024 failure fails" false (gate sampled b)
 
+let test_gate_fails_explore_regression () =
+  let with_explore explore = bench ~scaling:(scaling_healthy ()) ~explore () in
+  let b = Gate.derive_baseline (with_explore (explore_section ())) in
+  check_bool "derived explore baseline passes" true
+    (gate (with_explore (explore_section ())) b);
+  let fails what explore = check_bool what false (gate (with_explore explore) b) in
+  let at_jobs_4 point =
+    explore_section
+      ~points:
+        (List.map
+           (fun jobs ->
+             if jobs = 4 then point ~jobs else explore_point ~jobs ~speedup:3.0 ())
+           [ 1; 2; 4; 8 ])
+      ()
+  in
+  fails "report differing from jobs=1 fails"
+    (at_jobs_4 (fun ~jobs -> explore_point ~jobs ~speedup:3.0 ~identical:false ()));
+  fails "different visited-state set fails"
+    (at_jobs_4 (fun ~jobs ->
+         explore_point ~jobs ~speedup:3.0 ~same_states:false ()));
+  fails "sharded/sequential set mismatch fails"
+    (explore_section ~sets_agree:false ());
+  fails "no symmetry collapse fails" (explore_section ~sym_collapses:false ());
+  fails "seq_visited drift fails" (explore_section ~seq_visited:510 ());
+  fails "sym_visited drift fails" (explore_section ~sym_visited:271 ());
+  fails "missing jobs point fails"
+    (explore_section ~points:(explore_points ~drop_jobs:8 ()) ())
+
+let test_gate_explore_speedup_report_only () =
+  (* Speedup is the runner's: below 2.5x it warns at jobs >= 4 only, and
+     never fails the gate. *)
+  let with_explore explore = bench ~scaling:(scaling_healthy ()) ~explore () in
+  let b = Gate.derive_baseline (with_explore (explore_section ())) in
+  let warnings ~slow_jobs =
+    let vs =
+      Gate.check
+        ~current:
+          (with_explore (explore_section ~points:(explore_points ~slow_jobs ()) ()))
+        ~baseline:b
+    in
+    check_bool
+      (Printf.sprintf "0.5x speedup at jobs=%d passes" slow_jobs)
+      true (Gate.passed vs);
+    List.length (List.filter (fun (v : Gate.verdict) -> not v.ok) vs)
+  in
+  Alcotest.(check int) "healthy sweep warns nowhere" 0 (warnings ~slow_jobs:0);
+  Alcotest.(check int) "jobs=2 is below the warning scope" 0
+    (warnings ~slow_jobs:2);
+  Alcotest.(check int) "jobs=4 warns once" 1 (warnings ~slow_jobs:4)
+
+let test_gate_fails_runtime_regression () =
+  let with_runtime runtime = bench ~scaling:(scaling_healthy ()) ~runtime () in
+  let b = Gate.derive_baseline (with_runtime (runtime_section ())) in
+  check_bool "derived runtime baseline passes" true
+    (gate (with_runtime (runtime_section ())) b);
+  let fails what runtime = check_bool what false (gate (with_runtime runtime) b) in
+  fails "lost reconnect fails" (runtime_section ~reconnected:false ());
+  fails "prefix divergence fails" (runtime_section ~prefix_agreement:false ());
+  fails "mailbox_shed drift fails" (runtime_section ~mailbox_shed:6 ());
+  fails "monitor violation fails" (runtime_section ~violations:1 ());
+  fails "uncommitted request fails" (runtime_section ~committed:2 ());
+  fails "unsupported nemesis phase fails"
+    (runtime_section ~nemesis_unsupported:1 ())
+
+(* Leaf coverage: every leaf of a document carrying all seven sections is
+   perturbed (numbers to 0 and to x*4+1000, bools flipped, strings
+   suffixed) and the gate must reject at least one perturbation — unless
+   the leaf is listed here as ungated, in which case it must reject none.
+   The list is written out independently of the gate's own rule table, so
+   a field the table forgets to gate shows up as a failure. Entries match
+   a leaf's dotted path or a suffix of it. *)
+let ungated_leaves =
+  [
+    "f";
+    "merge_ops_per_sec";
+    "scaling.1.select_ops_per_sec";
+    "rounds";
+    "reconfig_ops_per_sec";
+    "iters";
+    "visited";
+    "elapsed_s";
+    "states_per_sec";
+    "speedup";
+    "par_visited";
+    "standing";
+    "groups";
+    "cluster.n";
+    "monitor_checks";
+    "commit_latency_ns_p50";
+    "commit_latency_ns_max";
+    "group";
+    "name";
+    "ns_per_run";
+  ]
+
+let full_bench () =
+  bench
+    ~scaling:
+      [
+        point ~n:64 ~select:400_000.0 ();
+        point ~n:256 ~select:60_000.0 ();
+        point ~n:1024 ~select:10_000.0 ();
+      ]
+    ~explore:(explore_section ()) ~policy:(policy_section ())
+    ~runtime:(runtime_section ())
+    ~results:
+      [
+        Json.Obj
+          [
+            ("group", Json.String "micro");
+            ("name", Json.String "micro/crypto/sha256 1KiB");
+            ("ns_per_run", Json.Float 25_000.0);
+          ];
+      ]
+    ()
+
+let perturbations = function
+  | Json.Int i -> [ Json.Int 0; Json.Int ((i * 4) + 1000) ]
+  | Json.Float x -> [ Json.Float 0.0; Json.Float ((x *. 4.0) +. 1000.0) ]
+  | Json.Bool b -> [ Json.Bool (not b) ]
+  | Json.String s -> [ Json.String (s ^ "'") ]
+  | Json.Null | Json.List _ | Json.Obj _ -> []
+
+(* Every leaf's dotted path (list elements by index), paired with the
+   whole documents obtained by perturbing that leaf alone. *)
+let rec leaves path j =
+  let within key child rebuild =
+    List.map
+      (fun (p, docs) -> (p, List.map rebuild docs))
+      (leaves (if path = "" then key else path ^ "." ^ key) child)
+  in
+  let replace_nth i x l = List.mapi (fun k y -> if k = i then x else y) l in
+  match j with
+  | Json.Obj fields ->
+    List.concat
+      (List.mapi
+         (fun i (k, v) ->
+           within k v (fun v' -> Json.Obj (replace_nth i (k, v') fields)))
+         fields)
+  | Json.List items ->
+    List.concat
+      (List.mapi
+         (fun i v ->
+           within (string_of_int i) v (fun v' ->
+               Json.List (replace_nth i v' items)))
+         items)
+  | leaf -> [ (path, perturbations leaf) ]
+
+let test_gate_leaf_coverage () =
+  let current = full_bench () in
+  let baseline = Gate.derive_baseline current in
+  check_bool "fixture passes its own baseline" true (gate current baseline);
+  let names path entry =
+    path = entry || String.ends_with ~suffix:("." ^ entry) path
+  in
+  let leaves = leaves "" current in
+  List.iter
+    (fun (path, docs) ->
+      let rejected = List.exists (fun doc -> not (gate doc baseline)) docs in
+      match (rejected, List.exists (names path) ungated_leaves) with
+      | true, true -> Alcotest.failf "%s is listed ungated but is gated" path
+      | false, false -> Alcotest.failf "%s: no perturbation fails the gate" path
+      | _ -> ())
+    leaves;
+  List.iter
+    (fun entry ->
+      check_bool
+        (Printf.sprintf "ungated entry %S names a leaf" entry)
+        true
+        (List.exists (fun (path, _) -> names path entry) leaves))
+    ungated_leaves
+
 let test_gate_update_baseline_ratchet () =
   (* The escape hatch: deriving a fresh baseline from the regressed run
      makes the gate pass again — that is what --update-baseline commits. *)
@@ -529,7 +781,13 @@ let test_gate_real_baseline_format () =
     check_bool "baseline schema" true
       (Json.member "schema" j = Some (Json.String "qsel-baseline/1"));
     check_bool "has tolerances" true (Json.member "tolerances" j <> None);
-    check_bool "has scaling" true (Json.member "scaling" j <> None)
+    check_bool "has scaling" true (Json.member "scaling" j <> None);
+    (* A section the baseline lacks is not gated, so losing one from the
+       committed file would silently switch that part of the gate off. *)
+    List.iter
+      (fun section ->
+        check_bool ("has " ^ section) true (Json.member section j <> None))
+      [ "commission"; "churn"; "explore"; "policy"; "runtime" ]
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
@@ -565,6 +823,14 @@ let () =
             test_gate_fails_policy_drift;
           Alcotest.test_case "policy intersection fails" `Quick
             test_gate_fails_policy_intersection;
+          Alcotest.test_case "explore regression fails" `Quick
+            test_gate_fails_explore_regression;
+          Alcotest.test_case "explore speedup report-only" `Quick
+            test_gate_explore_speedup_report_only;
+          Alcotest.test_case "runtime regression fails" `Quick
+            test_gate_fails_runtime_regression;
+          Alcotest.test_case "every leaf gated or listed" `Quick
+            test_gate_leaf_coverage;
           Alcotest.test_case "update-baseline ratchet" `Quick
             test_gate_update_baseline_ratchet;
           Alcotest.test_case "committed baseline well-formed" `Quick
